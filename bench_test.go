@@ -71,7 +71,7 @@ func BenchmarkTable4Synthesis(b *testing.B) {
 
 func benchCampaign(b *testing.B, tuples int) *harness.InjectionResult {
 	b.Helper()
-	inj, err := harness.RunInjection(tuples, 1)
+	inj, err := RunInjection(tuples, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func BenchmarkFig11SDCRisk(b *testing.B) {
 func benchPerf(b *testing.B, schemes []compiler.Scheme, label string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		perf, err := harness.RunPerf(schemes, false)
+		perf, err := RunPerf(schemes, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func BenchmarkFig16FuturePredictors(b *testing.B) { benchPerf(b, harness.Fig16Sc
 
 func BenchmarkFig13InstructionBloat(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		perf, err := harness.RunPerf(harness.Fig13Schemes(), false)
+		perf, err := RunPerf(harness.Fig13Schemes(), false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func BenchmarkFig13InstructionBloat(b *testing.B) {
 
 func BenchmarkFig14PowerEnergy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pr, err := harness.RunPower()
+		pr, err := harness.NewSession(engine.New(0), harness.Options{}).Power(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func BenchmarkAblationOccupancy(b *testing.B) {
 // the SEC-DED add-predictor area story.
 func BenchmarkSectionVIComparisons(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		perf, err := harness.RunPerf([]compiler.Scheme{compiler.SwapECC, compiler.SInRGSig}, false)
+		perf, err := RunPerf([]compiler.Scheme{compiler.SwapECC, compiler.SInRGSig}, false)
 		if err != nil {
 			b.Fatal(err)
 		}

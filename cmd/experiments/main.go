@@ -23,17 +23,22 @@
 // is not part of "all" since it replays the whole workload suite 68 times.)
 //
 // Experiments run concurrently as jobs on one engine pool (-workers, default
-// all cores); simulation and injection results are bit-identical at any
-// worker count, and output is printed in the canonical experiment order
+// all cores) and share one harness.Session, which computes every launch and
+// the injection campaign once however many experiments view them: fig12,
+// fig13, cpistack, fig14, fig15, fig16 and headline read one set of
+// (workload, scheme, memory model) launches, and fig10, fig11 and headline
+// read one campaign. Simulation and injection results are bit-identical at
+// any worker count, and output is printed in the canonical experiment order
 // regardless of completion order. Ctrl-C (or -timeout) cancels the run and
 // reports what finished.
 //
 // With -submit the server-backed experiments (headline, fig10, fig11,
-// fig12, cpistack, fig15, fig16, verify) run as jobs on a swapserve
+// fig12, cpistack, memcpi, fig15, fig16, verify) run as jobs on a swapserve
 // instead of locally — duplicates sharing a spec (fig10/fig11) collapse
 // into one submission, and a warm server answers identical respins from
 // its content-addressed cache. See EXPERIMENTS.md "Running the job
-// server".
+// server". One table (see table) holds every experiment's name, whether
+// "all" covers it, its -submit job and its local computation.
 package main
 
 import (
@@ -49,6 +54,7 @@ import (
 
 	"swapcodes/internal/arith"
 	"swapcodes/internal/compiler"
+	"swapcodes/internal/ecc"
 	"swapcodes/internal/engine"
 	"swapcodes/internal/harness"
 	"swapcodes/internal/jobs"
@@ -75,8 +81,9 @@ func main() {
 	tenant := flag.String("tenant", "", "tenant fairness key for -submit (empty = default tenant)")
 	flag.Parse()
 
+	c := config{tuples: *tuples, seed: *seed, smWorkers: *smWorkers, memModel: *memModel, chart: *chart}
 	if *submit != "" {
-		fail(runSubmit(*submit, *tenant, *exp, *tuples, *seed, *smWorkers, *memModel))
+		fail(runSubmit(*submit, *tenant, *exp, c))
 		return
 	}
 
@@ -84,17 +91,16 @@ func main() {
 	if *metricsOut != "" || *traceOut != "" || *metricsInterval > 0 || *serve != "" {
 		rec = obs.NewRecorder()
 	}
-	fail(run(rec, *exp, *tuples, *seed, *workers, *smWorkers, *memModel, *timeout, *serve, *csvDir,
-		*chart, *verilogDir, *metricsOut, *traceOut, *metricsInterval))
+	fail(run(rec, *exp, c, *workers, *timeout, *serve, *csvDir, *verilogDir,
+		*metricsOut, *traceOut, *metricsInterval))
 }
 
 // run owns the experiment lifecycle so its defers fire on every exit path:
 // the metrics/trace flush and the -serve shutdown happen on success, on
 // cancellation (Ctrl-C, -timeout), on experiment failure, and during a
 // panic unwind — a crashed run still leaves its partial observations.
-func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers, smWorkers int,
-	memModel string, timeout time.Duration, serve, csvDir string, chart bool, verilogDir,
-	metricsOut, traceOut string, metricsInterval time.Duration) (err error) {
+func run(rec *obs.Recorder, exp string, c config, workers int, timeout time.Duration,
+	serve, csvDir, verilogDir, metricsOut, traceOut string, metricsInterval time.Duration) (err error) {
 	pool := engine.New(workers)
 	pool.SetObs(rec)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -130,7 +136,7 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers, smWorke
 		}()
 	}
 	fmt.Fprintf(os.Stderr, "experiments: workers=%d seed=%d tuples=%d\n",
-		pool.Workers(), seed, tuples)
+		pool.Workers(), c.seed, c.tuples)
 	stopProgress := obs.StartProgress(os.Stderr, metricsInterval, func() string {
 		snap := pool.Tracker().Snapshot()
 		return fmt.Sprintf("experiments: %s; tuples=%d",
@@ -177,205 +183,15 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers, smWorke
 		fmt.Fprintln(os.Stderr, "wrote", path)
 	}
 
-	// fig10/fig11 share the injection campaign and fig12/fig13 share the
-	// Figure 12 sweep; whichever experiment job gets there first computes
-	// the result once and the other reuses it.
-	var injOnce sync.Once
-	var injRes *harness.InjectionResult
-	var injErr error
-	getInj := func(ctx context.Context) (*harness.InjectionResult, error) {
-		injOnce.Do(func() {
-			injRes, injErr = harness.RunInjectionCtx(ctx, pool, tuples, seed)
-		})
-		return injRes, injErr
-	}
-	var perfOnce sync.Once
-	var perfRes *harness.PerfResult
-	var perfErr error
-	getPerf12 := func(ctx context.Context) (*harness.PerfResult, error) {
-		perfOnce.Do(func() {
-			perfRes, perfErr = harness.RunPerfCtxOpts(ctx, pool, harness.Fig12Schemes(), true,
-				harness.Options{SMWorkers: smWorkers, MemModel: memModel})
-		})
-		return perfRes, perfErr
-	}
-	// memcpi always runs with the hierarchy armed; it shares getPerf12's
-	// sweep when -mem-model already arms it, and runs its own otherwise.
-	var perfMemOnce sync.Once
-	var perfMemRes *harness.PerfResult
-	var perfMemErr error
-	getPerfMem := func(ctx context.Context) (*harness.PerfResult, error) {
-		if memModel == "sectored" {
-			return getPerf12(ctx)
-		}
-		perfMemOnce.Do(func() {
-			perfMemRes, perfMemErr = harness.RunPerfCtxOpts(ctx, pool, harness.Fig12Schemes(), true,
-				harness.Options{SMWorkers: smWorkers, MemModel: "sectored"})
-		})
-		return perfMemRes, perfMemErr
-	}
-
-	// Canonical order: this is both the -exp name space and the order the
-	// output is printed in, however the jobs are scheduled.
-	type experiment struct {
-		name string
-		run  func(ctx context.Context) (string, error)
-	}
-	experiments := []experiment{
-		{"headline", func(ctx context.Context) (string, error) {
-			rows, err := harness.HeadlineCtx(ctx, pool, tuples, seed)
-			if err != nil {
-				return "", err
-			}
-			return harness.RenderHeadline(rows), nil
-		}},
-		{"table1", func(context.Context) (string, error) { return harness.Table1(), nil }},
-		{"table2", func(context.Context) (string, error) { return harness.Table2(), nil }},
-		{"table3", func(context.Context) (string, error) { return harness.Table3(), nil }},
-		{"table4", func(context.Context) (string, error) {
-			rows := harness.Table4()
-			writeCSV("table4.csv", harness.Table4CSV(rows))
-			return harness.RenderTable4(rows), nil
-		}},
-		{"fig10", func(ctx context.Context) (string, error) {
-			inj, err := getInj(ctx)
-			if err != nil {
-				return "", err
-			}
-			writeCSV("fig10_fig11.csv", inj.CSV())
-			if tl := inj.RenderThroughput(); tl != "" {
-				fmt.Fprintf(os.Stderr, "experiments: %s\n", tl)
-			}
-			return inj.RenderFig10() + "\n" + inj.RenderConeStats(), nil
-		}},
-		{"fig11", func(ctx context.Context) (string, error) {
-			inj, err := getInj(ctx)
-			if err != nil {
-				return "", err
-			}
-			out := inj.RenderFig11()
-			out += fmt.Sprintf("pooled detection coverage: SEC-DED %.2f%%, Mod-127 %.2f%% (paper: >98.8%% / >99.3%%)\n",
-				100*inj.DetectionCoverage(codeByName("SEC-DED-DP")),
-				100*inj.DetectionCoverage(codeByName("Mod-127")))
-			return out, nil
-		}},
-		{"fig12", func(ctx context.Context) (string, error) {
-			perf, err := getPerf12(ctx)
-			if err != nil {
-				return "", err
-			}
-			out := perf.Render("Figure 12: slowdown over the un-duplicated program (Tesla P100-class SM model)")
-			if chart {
-				out += "\n" + perf.Chart("Figure 12 (chart)", 120)
-			}
-			writeCSV("fig12.csv", perf.CSV())
-			return out, nil
-		}},
-		{"fig13", func(ctx context.Context) (string, error) {
-			perf, err := getPerf12(ctx)
-			if err != nil {
-				return "", err
-			}
-			mix := harness.RunCodeMix(perf)
-			writeCSV("fig13.csv", mix.CSV())
-			return mix.Render(), nil
-		}},
-		{"cpistack", func(ctx context.Context) (string, error) {
-			perf, err := getPerf12(ctx)
-			if err != nil {
-				return "", err
-			}
-			cs := harness.CPIStacks(perf)
-			out := cs.Render("CPI stacks: where each scheme's cycles go (headline sweep)")
-			out += "\n" + cs.RenderAttribution("Slowdown attribution vs unprotected baseline")
-			if chart {
-				out += "\n" + cs.Chart("CPI stacks (chart)")
-			}
-			writeCSV("cpistack.csv", cs.CSV())
-			return out, nil
-		}},
-		{"memcpi", func(ctx context.Context) (string, error) {
-			perf, err := getPerfMem(ctx)
-			if err != nil {
-				return "", err
-			}
-			mc := harness.MemCPI(perf)
-			out := mc.Render("Memory CPI: idle share by hierarchy level (Figure 12 sweep, sectored model)")
-			if chart {
-				cs := harness.CPIStacks(perf)
-				out += "\n" + cs.Chart("CPI stacks with memory tiers (chart)")
-			}
-			writeCSV("memcpi.csv", mc.CSV())
-			return out, nil
-		}},
-		{"fig14", func(context.Context) (string, error) {
-			pr, err := harness.RunPower()
-			if err != nil {
-				return "", err
-			}
-			writeCSV("fig14.csv", pr.CSV())
-			return pr.Render() +
-				fmt.Sprintf("worst power overhead: %.0f%% (paper: <=15%%)\n", 100*(pr.MaxRelPower()-1)), nil
-		}},
-		{"fig15", func(ctx context.Context) (string, error) {
-			perf, err := harness.RunPerfCtxOpts(ctx, pool, harness.Fig15Schemes(), true,
-				harness.Options{SMWorkers: smWorkers, MemModel: memModel})
-			if err != nil {
-				return "", err
-			}
-			writeCSV("fig15.csv", perf.CSV())
-			return perf.Render("Figure 15: inter-thread duplication slowdown (fails on mm: CTA size; snap: shuffles)"), nil
-		}},
-		{"fig16", func(ctx context.Context) (string, error) {
-			perf, err := harness.RunPerfCtxOpts(ctx, pool, harness.Fig16Schemes(), true,
-				harness.Options{SMWorkers: smWorkers, MemModel: memModel})
-			if err != nil {
-				return "", err
-			}
-			writeCSV("fig16.csv", perf.CSV())
-			return perf.Render("Figure 16: Swap-Predict with plausible future check-bit predictors"), nil
-		}},
-		{"smprof", func(ctx context.Context) (string, error) {
-			res, err := harness.RunSMProfCtx(ctx, harness.Fig12Schemes(), harness.Options{SMWorkers: smWorkers})
-			if err != nil {
-				return "", err
-			}
-			writeCSV("smprof.csv", res.CSV())
-			return res.Render("SM round-loop attribution: parallel phase A vs serial merge vs idle-skip"), nil
-		}},
-		{"verify", func(ctx context.Context) (string, error) {
-			res, err := harness.RunVerifyCtx(ctx, pool, verify.Matrix())
-			if err != nil {
-				return "", err
-			}
-			out := res.Render("Differential verification: workloads x schemes x {DCE, Schedule, DisableMoveProp}")
-			if n := res.Failed(); n > 0 {
-				return out, fmt.Errorf("verify: %d combo cells failed", n)
-			}
-			return out, nil
-		}},
-	}
-
-	want := map[string]bool{}
-	for _, e := range strings.Split(exp, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	all := want["all"]
-	var selected []experiment
-	known := map[string]bool{"all": true}
-	for _, e := range experiments {
-		known[e.name] = true
-		// "verify" replays the whole workload suite across 68 combos, and
-		// "smprof" runs every launch strictly serially to keep its wall-time
-		// attribution clean; both are opt-in only and not part of "all".
-		if want[e.name] || (all && e.name != "verify" && e.name != "smprof") {
-			selected = append(selected, e)
-		}
-	}
-	for name := range want {
-		if !known[name] {
-			return fmt.Errorf("unknown experiment %q", name)
-		}
+	// One session for the whole run: experiments that view the same
+	// launches or campaign (fig12/fig13/cpistack/fig14/headline, fig10/
+	// fig11/headline) share them through its memo, whichever job asks
+	// first.
+	sess := harness.NewSession(pool, harness.Options{SMWorkers: c.smWorkers,
+		MemModel: c.memModel, Verify: true})
+	selected, unknown := pick(table(c, sess, writeCSV), exp)
+	if len(unknown) > 0 {
+		return fmt.Errorf("unknown experiment %q", unknown[0])
 	}
 
 	// All selected experiments run concurrently as engine jobs; the harness
@@ -427,51 +243,28 @@ func run(rec *obs.Recorder, exp string, tuples int, seed int64, workers, smWorke
 
 // runSubmit is the -submit client mode: experiments become job specs
 // against a running swapserve, which runs (or serves from cache) each one
-// and returns the payload. Only the service-backed experiments map; the
-// local-only ones (static tables, fig13/fig14 post-processing) say so.
-func runSubmit(base, tenant, exp string, tuples int, seed int64, smWorkers int, memModel string) error {
+// and returns the payload. Only the experiments with a spec in the table
+// map; the local-only ones (static tables, fig13/fig14 post-processing)
+// say so.
+func runSubmit(base, tenant, exp string, c config) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	names := func(schemes []compiler.Scheme) []string {
-		out := make([]string, len(schemes))
-		for i, s := range schemes {
-			out[i] = harness.SchemeName(s)
+	var served []experiment
+	var names []string
+	for _, e := range table(c, nil, nil) {
+		if e.spec != nil {
+			served = append(served, e)
+			names = append(names, e.name)
 		}
-		return out
 	}
-	specFor := map[string]jobs.Spec{
-		"headline": {Kind: jobs.KindHeadline, Tuples: tuples, Seed: seed},
-		"fig10":    {Kind: jobs.KindCampaign, Tuples: tuples, Seed: seed},
-		"fig11":    {Kind: jobs.KindCampaign, Tuples: tuples, Seed: seed},
-		"fig12":    {Kind: jobs.KindPerf, Schemes: names(harness.Fig12Schemes()), SMWorkers: smWorkers, MemModel: memModel},
-		"cpistack": {Kind: jobs.KindCPIStack, Schemes: names(harness.Fig12Schemes()), SMWorkers: smWorkers, MemModel: memModel},
-		"memcpi":   {Kind: jobs.KindCPIStack, Schemes: names(harness.Fig12Schemes()), SMWorkers: smWorkers, MemModel: "sectored"},
-		"fig15":    {Kind: jobs.KindPerf, Schemes: names(harness.Fig15Schemes()), SMWorkers: smWorkers, MemModel: memModel},
-		"fig16":    {Kind: jobs.KindPerf, Schemes: names(harness.Fig16Schemes()), SMWorkers: smWorkers, MemModel: memModel},
-		"verify":   {Kind: jobs.KindVerify},
-	}
-	order := []string{"headline", "fig10", "fig11", "fig12", "cpistack", "memcpi", "fig15", "fig16", "verify"}
-
-	want := map[string]bool{}
-	for _, e := range strings.Split(exp, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	if want["all"] {
-		for _, name := range order {
-			// Same opt-in rule as local runs: verify is not part of "all".
-			want[name] = want[name] || name != "verify"
-		}
-		delete(want, "all")
-	}
-	for name := range want {
-		if _, ok := specFor[name]; !ok {
-			return fmt.Errorf("experiment %q cannot run via -submit (server-backed: %s)",
-				name, strings.Join(order, ", "))
-		}
+	selected, unknown := pick(served, exp)
+	if len(unknown) > 0 {
+		return fmt.Errorf("experiment %q cannot run via -submit (server-backed: %s)",
+			unknown[0], strings.Join(names, ", "))
 	}
 
-	c := &jobs.Client{Base: base}
+	cl := &jobs.Client{Base: base}
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
 	}
@@ -479,11 +272,8 @@ func runSubmit(base, tenant, exp string, tuples int, seed int64, smWorkers int, 
 	// once and reuse the payload (the server would cache-hit anyway, but
 	// this also skips the duplicate polling).
 	payloads := map[string][]byte{}
-	for _, name := range order {
-		if !want[name] {
-			continue
-		}
-		spec := specFor[name]
+	for _, e := range selected {
+		spec := *e.spec
 		spec.Tenant = tenant
 		norm := spec
 		if err := norm.Normalize(); err != nil {
@@ -493,23 +283,224 @@ func runSubmit(base, tenant, exp string, tuples int, seed int64, smWorkers int, 
 		raw, ok := payloads[key]
 		if !ok {
 			var err error
-			raw, err = c.RunJob(ctx, spec, logf)
+			raw, err = cl.RunJob(ctx, spec, logf)
 			if err != nil {
 				return err
 			}
 			payloads[key] = raw
 		}
-		fmt.Printf("== %s ==\n%s\n", name, jobs.RenderPayload(raw))
+		fmt.Printf("== %s ==\n%s\n", e.name, jobs.RenderPayload(raw))
 	}
 	return nil
 }
 
-func codeByName(name string) interface {
-	Name() string
-	CheckBits() int
-	Encode(uint32) uint32
-	Detects(uint32, uint32) bool
-} {
+// config is what the experiment table depends on: the flags that select
+// what an experiment computes (not how or where it runs).
+type config struct {
+	tuples    int
+	seed      int64
+	smWorkers int
+	memModel  string
+	chart     bool
+}
+
+// experiment is one -exp name.
+type experiment struct {
+	name string
+	// optIn experiments run only when named, never as part of "all":
+	// verify replays the whole workload suite across 68 combos, and smprof
+	// runs every launch strictly serially to keep its wall-time
+	// attribution clean.
+	optIn bool
+	// spec is the server job that computes the experiment under -submit;
+	// nil means local only.
+	spec *jobs.Spec
+	run  func(ctx context.Context) (string, error)
+}
+
+// table is the -exp name space, computing from session s and handing plot
+// CSVs to writeCSV. Its order is the order output is printed in, however
+// the jobs are scheduled. -submit reads only names and specs, with a nil
+// session.
+func table(c config, s *harness.Session, writeCSV func(name, content string)) []experiment {
+	names := func(schemes []compiler.Scheme) []string {
+		out := make([]string, len(schemes))
+		for i, sc := range schemes {
+			out[i] = harness.SchemeName(sc)
+		}
+		return out
+	}
+	sweep := func(kind string, schemes []compiler.Scheme, memModel string) *jobs.Spec {
+		return &jobs.Spec{Kind: kind, Schemes: names(schemes), SMWorkers: c.smWorkers, MemModel: memModel}
+	}
+	campaign := &jobs.Spec{Kind: jobs.KindCampaign, Tuples: c.tuples, Seed: c.seed}
+	static := func(render func() string) func(context.Context) (string, error) {
+		return func(context.Context) (string, error) { return render(), nil }
+	}
+	perfFig := func(schemes []compiler.Scheme, csvName, title string) func(context.Context) (string, error) {
+		return func(ctx context.Context) (string, error) {
+			perf, err := s.Perf(ctx, schemes)
+			if err != nil {
+				return "", err
+			}
+			writeCSV(csvName, perf.CSV())
+			return perf.Render(title), nil
+		}
+	}
+	return []experiment{
+		{name: "headline", spec: &jobs.Spec{Kind: jobs.KindHeadline, Tuples: c.tuples, Seed: c.seed},
+			run: func(ctx context.Context) (string, error) {
+				rows, err := s.Headline(ctx, c.tuples, c.seed)
+				if err != nil {
+					return "", err
+				}
+				return harness.RenderHeadline(rows), nil
+			}},
+		{name: "table1", run: static(harness.Table1)},
+		{name: "table2", run: static(harness.Table2)},
+		{name: "table3", run: static(harness.Table3)},
+		{name: "table4", run: static(func() string {
+			rows := harness.Table4()
+			writeCSV("table4.csv", harness.Table4CSV(rows))
+			return harness.RenderTable4(rows)
+		})},
+		{name: "fig10", spec: campaign, run: func(ctx context.Context) (string, error) {
+			inj, err := s.Injection(ctx, c.tuples, c.seed)
+			if err != nil {
+				return "", err
+			}
+			writeCSV("fig10_fig11.csv", inj.CSV())
+			if tl := inj.RenderThroughput(); tl != "" {
+				fmt.Fprintf(os.Stderr, "experiments: %s\n", tl)
+			}
+			return inj.RenderFig10() + "\n" + inj.RenderConeStats(), nil
+		}},
+		{name: "fig11", spec: campaign, run: func(ctx context.Context) (string, error) {
+			inj, err := s.Injection(ctx, c.tuples, c.seed)
+			if err != nil {
+				return "", err
+			}
+			out := inj.RenderFig11()
+			out += fmt.Sprintf("pooled detection coverage: SEC-DED %.2f%%, Mod-127 %.2f%% (paper: >98.8%% / >99.3%%)\n",
+				100*inj.DetectionCoverage(codeByName("SEC-DED-DP")),
+				100*inj.DetectionCoverage(codeByName("Mod-127")))
+			return out, nil
+		}},
+		{name: "fig12", spec: sweep(jobs.KindPerf, harness.Fig12Schemes(), c.memModel),
+			run: func(ctx context.Context) (string, error) {
+				perf, err := s.Perf(ctx, harness.Fig12Schemes())
+				if err != nil {
+					return "", err
+				}
+				out := perf.Render("Figure 12: slowdown over the un-duplicated program (Tesla P100-class SM model)")
+				if c.chart {
+					out += "\n" + perf.Chart("Figure 12 (chart)", 120)
+				}
+				writeCSV("fig12.csv", perf.CSV())
+				return out, nil
+			}},
+		{name: "fig13", run: func(ctx context.Context) (string, error) {
+			perf, err := s.Perf(ctx, harness.Fig13Schemes())
+			if err != nil {
+				return "", err
+			}
+			mix := harness.RunCodeMix(perf)
+			writeCSV("fig13.csv", mix.CSV())
+			return mix.Render(), nil
+		}},
+		{name: "cpistack", spec: sweep(jobs.KindCPIStack, harness.Fig12Schemes(), c.memModel),
+			run: func(ctx context.Context) (string, error) {
+				perf, err := s.Perf(ctx, harness.Fig12Schemes())
+				if err != nil {
+					return "", err
+				}
+				cs := harness.CPIStacks(perf)
+				out := cs.Render("CPI stacks: where each scheme's cycles go (headline sweep)")
+				out += "\n" + cs.RenderAttribution("Slowdown attribution vs unprotected baseline")
+				if c.chart {
+					out += "\n" + cs.Chart("CPI stacks (chart)")
+				}
+				writeCSV("cpistack.csv", cs.CSV())
+				return out, nil
+			}},
+		// memcpi always runs with the hierarchy armed; under -mem-model
+		// sectored its launches are fig12's.
+		{name: "memcpi", spec: sweep(jobs.KindCPIStack, harness.Fig12Schemes(), "sectored"),
+			run: func(ctx context.Context) (string, error) {
+				perf, err := s.WithMemModel("sectored").Perf(ctx, harness.Fig12Schemes())
+				if err != nil {
+					return "", err
+				}
+				mc := harness.MemCPI(perf)
+				out := mc.Render("Memory CPI: idle share by hierarchy level (Figure 12 sweep, sectored model)")
+				if c.chart {
+					out += "\n" + harness.CPIStacks(perf).Chart("CPI stacks with memory tiers (chart)")
+				}
+				writeCSV("memcpi.csv", mc.CSV())
+				return out, nil
+			}},
+		{name: "fig14", run: func(ctx context.Context) (string, error) {
+			pr, err := s.Power(ctx)
+			if err != nil {
+				return "", err
+			}
+			writeCSV("fig14.csv", pr.CSV())
+			return pr.Render() +
+				fmt.Sprintf("worst power overhead: %.0f%% (paper: <=15%%)\n", 100*(pr.MaxRelPower()-1)), nil
+		}},
+		{name: "fig15", spec: sweep(jobs.KindPerf, harness.Fig15Schemes(), c.memModel),
+			run: perfFig(harness.Fig15Schemes(), "fig15.csv",
+				"Figure 15: inter-thread duplication slowdown (fails on mm: CTA size; snap: shuffles)")},
+		{name: "fig16", spec: sweep(jobs.KindPerf, harness.Fig16Schemes(), c.memModel),
+			run: perfFig(harness.Fig16Schemes(), "fig16.csv",
+				"Figure 16: Swap-Predict with plausible future check-bit predictors")},
+		{name: "smprof", optIn: true, run: func(ctx context.Context) (string, error) {
+			res, err := s.WithMemModel("").SMProf(ctx, harness.Fig12Schemes())
+			if err != nil {
+				return "", err
+			}
+			writeCSV("smprof.csv", res.CSV())
+			return res.Render("SM round-loop attribution: parallel phase A vs serial merge vs idle-skip"), nil
+		}},
+		{name: "verify", optIn: true, spec: &jobs.Spec{Kind: jobs.KindVerify},
+			run: func(ctx context.Context) (string, error) {
+				res, err := s.Verify(ctx, verify.Matrix())
+				if err != nil {
+					return "", err
+				}
+				out := res.Render("Differential verification: workloads x schemes x {DCE, Schedule, DisableMoveProp}")
+				if n := res.Failed(); n > 0 {
+					return out, fmt.Errorf("verify: %d combo cells failed", n)
+				}
+				return out, nil
+			}},
+	}
+}
+
+// pick returns the experiments named in the comma-separated exp, in table
+// order; "all" selects every experiment that is not opt-in. The second
+// result lists the names the table does not hold.
+func pick(table []experiment, exp string) (selected []experiment, unknown []string) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(exp, ",") {
+		want[strings.TrimSpace(name)] = true
+	}
+	known := map[string]bool{"all": true}
+	for _, e := range table {
+		known[e.name] = true
+		if want[e.name] || (want["all"] && !e.optIn) {
+			selected = append(selected, e)
+		}
+	}
+	for _, name := range strings.Split(exp, ",") {
+		if name = strings.TrimSpace(name); !known[name] {
+			unknown = append(unknown, name)
+		}
+	}
+	return selected, unknown
+}
+
+func codeByName(name string) ecc.Code {
 	for _, c := range harness.Fig11Codes() {
 		if c.Name() == name {
 			return c

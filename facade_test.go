@@ -1,6 +1,11 @@
 package swapcodes
 
-import "testing"
+import (
+	"errors"
+	"testing"
+
+	"swapcodes/internal/isa"
+)
 
 // TestFacadeEndToEnd exercises the public API exactly as README's
 // quickstart describes it.
@@ -57,5 +62,34 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if _, err := WorkloadByName("snap"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGuardedExitKernelRejected: a kernel whose last instruction is a
+// guarded EXIT would run its guarded-off lanes past the end of the code.
+// Both the text and the binary path must reject it with a typed error
+// before the SM can index past the code.
+func TestGuardedExitKernelRejected(t *testing.T) {
+	const src = `.kernel k grid=1 cta=32 shared=0
+  @p0 exit
+`
+	launch := func(k *Kernel, err error) error {
+		if err != nil {
+			return err
+		}
+		_, err = NewGPU(DefaultConfig(), 1024).Launch(k)
+		return err
+	}
+	var fe *isa.FallThroughError
+	if err := launch(ParseKernel(src)); !errors.As(err, &fe) {
+		t.Fatalf("text path: got %v, want a FallThroughError", err)
+	}
+	k := &Kernel{Name: "k", GridCTAs: 1, CTAThreads: 32, NumRegs: 1,
+		Code: []Instr{{Op: isa.EXIT, Dst: RZ, Src: [3]Reg{RZ, RZ, RZ}, GuardPred: 0}}}
+	if err := launch(k, nil); !errors.As(err, &fe) {
+		t.Fatalf("launch of the built kernel: got %v, want a FallThroughError", err)
+	}
+	if err := launch(isa.DecodeBinary(k.EncodeBinary())); !errors.As(err, &fe) {
+		t.Fatalf("binary path: got %v, want a FallThroughError", err)
 	}
 }

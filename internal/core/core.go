@@ -200,9 +200,6 @@ func (rf *RegFile) ResidueCode() (ecc.Residue, bool) {
 // move-propagation read path of Figure 4).
 func (rf *RegFile) CheckBitsOf(reg, lane int) uint32 { return rf.at(reg, lane).Check }
 
-// DPOf reads the stored data-parity bit (propagated alongside on moves).
-func (rf *RegFile) DPOf(reg, lane int) uint32 { return rf.at(reg, lane).DP }
-
 // PropagateMove copies the full stored ECC word from src to dst — the
 // Figure 4 end-to-end move propagation that lets Swap-ECC skip duplicating
 // MOV instructions.
@@ -253,6 +250,3 @@ func (rf *RegFile) InjectStorageError(reg, lane int, dataMask, checkMask uint32,
 		w.DP ^= 1
 	}
 }
-
-// Raw returns the stored word for inspection (tests, examples).
-func (rf *RegFile) Raw(reg, lane int) Word { return *rf.at(reg, lane) }

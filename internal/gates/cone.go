@@ -69,12 +69,6 @@ func (c *Circuit) ensureFanout() {
 	})
 }
 
-// FanoutDegree returns the number of direct fan-out edges of node i.
-func (c *Circuit) FanoutDegree(i int) int {
-	c.ensureFanout()
-	return int(c.fanHead[i+1] - c.fanHead[i])
-}
-
 // Cone is the fan-out cone of one node: every node whose value can depend
 // on it, in topological (ascending-index) order. The representation is a
 // sorted list of half-open index runs; it is immutable once built.

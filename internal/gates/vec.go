@@ -25,24 +25,6 @@ func (b *Builder) NotVec(x []int) []int {
 	return out
 }
 
-// AndVec computes the bitwise AND of two equal-width buses.
-func (b *Builder) AndVec(x, y []int) []int {
-	out := make([]int, len(x))
-	for i := range x {
-		out[i] = b.And(x[i], y[i])
-	}
-	return out
-}
-
-// XorVec computes the bitwise XOR of two equal-width buses.
-func (b *Builder) XorVec(x, y []int) []int {
-	out := make([]int, len(x))
-	for i := range x {
-		out[i] = b.Xor(x[i], y[i])
-	}
-	return out
-}
-
 // MuxVec selects x (sel=0) or y (sel=1) bitwise.
 func (b *Builder) MuxVec(sel int, x, y []int) []int {
 	out := make([]int, len(x))

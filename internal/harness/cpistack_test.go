@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ import (
 // launch's cycle count, and each scheme's attribution contributions must
 // sum exactly to its slowdown.
 func TestCPIStackPartitionHeadlineSweep(t *testing.T) {
-	perf, err := RunPerf(Fig12Schemes(), false)
+	perf, err := newSession(false).Perf(context.Background(), Fig12Schemes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,10 @@ package harness
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
+	"swapcodes/internal/compiler"
 	"swapcodes/internal/faultsim"
 	"swapcodes/internal/isa"
 )
@@ -35,7 +37,15 @@ func (m *MixResult) CSV() string {
 	var b strings.Builder
 	b.WriteString("workload,scheme,category,fraction_of_baseline\n")
 	for _, w := range m.Order {
-		for s, mix := range m.Rows[w] {
+		// Scheme order, not map order: the file must not change between
+		// runs.
+		var schemes []compiler.Scheme
+		for s := range m.Rows[w] {
+			schemes = append(schemes, s)
+		}
+		sort.Slice(schemes, func(i, j int) bool { return schemes[i] < schemes[j] })
+		for _, s := range schemes {
+			mix := m.Rows[w][s]
 			for cat := isa.CatNotEligible; cat <= isa.CatChecking; cat++ {
 				fmt.Fprintf(&b, "%s,%s,%s,%.4f\n", w, s, cat, mix.Frac[cat])
 			}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ func TestCSVExports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps")
 	}
-	perf, err := RunPerf([]compiler.Scheme{compiler.SwapECC}, false)
+	perf, err := newSession(false).Perf(context.Background(), []compiler.Scheme{compiler.SwapECC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestCSVExports(t *testing.T) {
 		t.Error("mix CSV content")
 	}
 
-	inj, err := RunInjection(200, 5)
+	inj, err := newSession(false).Injection(context.Background(), 200, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestCSVExports(t *testing.T) {
 		}
 	}
 
-	pr, err := RunPower()
+	pr, err := newSession(false).Power(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestInterThreadFailureRenderedAsFails(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")
 	}
-	perf, err := RunPerf([]compiler.Scheme{compiler.InterThread}, false)
+	perf, err := newSession(false).Perf(context.Background(), []compiler.Scheme{compiler.InterThread})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestChartRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")
 	}
-	perf, err := RunPerf([]compiler.Scheme{compiler.SwapECC, compiler.InterThread}, false)
+	perf, err := newSession(false).Perf(context.Background(), []compiler.Scheme{compiler.SwapECC, compiler.InterThread})
 	if err != nil {
 		t.Fatal(err)
 	}

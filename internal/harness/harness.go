@@ -3,18 +3,17 @@
 // the workload suite (Figures 12, 15, 16), dynamic instruction breakdowns
 // (Figure 13), power/energy estimation (Figure 14), gate-level error
 // injection campaigns (Figures 10, 11), and the hardware-overhead and
-// qualitative tables (Tables I-IV).
+// qualitative tables (Tables I-IV). Every computed artifact is a method of
+// a Session (session.go), which computes each launch and campaign the
+// artifacts share exactly once.
 package harness
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"swapcodes/internal/compiler"
-	"swapcodes/internal/obs/simprof"
 	"swapcodes/internal/sm"
-	"swapcodes/internal/workloads"
 )
 
 // Fig12Schemes are the protection schemes of Figure 12.
@@ -51,6 +50,11 @@ type Options struct {
 	// L1/MSHR/L2/DRAM hierarchy and populates the mem.* CPI components.
 	// Functional results are identical either way; only timing moves.
 	MemModel string
+	// Verify checks every launch's output against the workload's
+	// reference (workloads.Workload.Verify); a mismatch fails the artifact.
+	// Verification reads device memory only, so Stats are the same either
+	// way.
+	Verify bool
 }
 
 func (o Options) smConfig() sm.Config {
@@ -82,56 +86,6 @@ func (r *PerfRow) Slowdown(s compiler.Scheme) float64 {
 type PerfResult struct {
 	Schemes []compiler.Scheme
 	Rows    []*PerfRow
-}
-
-// RunPerf executes every workload under baseline plus the given schemes,
-// verifying functional correctness of every run. Scheme failures
-// (inter-thread on mm/snap) are recorded, not fatal. Workloads run in
-// parallel on the default engine pool; the numbers are identical to a
-// serial sweep (see RunPerfCtx).
-func RunPerf(schemes []compiler.Scheme, verify bool) (*PerfResult, error) {
-	return RunPerfCtx(context.Background(), DefaultPool(), schemes, verify)
-}
-
-func runWorkload(ctx context.Context, w *workloads.Workload, schemes []compiler.Scheme, verify bool, opt Options) (*PerfRow, error) {
-	row := &PerfRow{Workload: w.Name,
-		Stats: make(map[compiler.Scheme]*sm.Stats),
-		Errs:  make(map[compiler.Scheme]string)}
-	for _, s := range append([]compiler.Scheme{compiler.Baseline}, schemes...) {
-		k, err := compiler.Apply(w.Kernel, s)
-		if err != nil {
-			row.Errs[s] = err.Error()
-			continue
-		}
-		g := w.NewGPU(opt.smConfig())
-		var fr *simprof.FlightRecorder
-		if opt.FlightRecord {
-			fr = simprof.NewFlightRecorder(0)
-			fr.Annotate(w.Name, 0)
-			g.Flight = fr
-		}
-		st, err := g.LaunchContext(ctx, k)
-		if err != nil {
-			return nil, flightWrap(fr, w.Name, s, fmt.Errorf("harness: %s/%v: %w", w.Name, s, err))
-		}
-		if verify {
-			if err := w.Verify(g); err != nil {
-				if fr != nil {
-					// A differential mismatch is a failure the simulator
-					// cannot see from inside; stamp the black box here.
-					fr.Fail(k.Name, k.Scheme, opt.SMWorkers, st.Cycles, opt.smConfig(),
-						"output verification failed: "+err.Error())
-				}
-				return nil, flightWrap(fr, w.Name, s, fmt.Errorf("harness: %s/%v: %w", w.Name, s, err))
-			}
-		}
-		if s == compiler.Baseline {
-			row.Baseline = st
-		} else {
-			row.Stats[s] = st
-		}
-	}
-	return row, nil
 }
 
 // MeanSlowdown is the arithmetic-mean slowdown over the workloads where the
@@ -176,8 +130,7 @@ func (r *PerfResult) Render(title string) string {
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%-9s", row.Workload)
 		for _, s := range r.Schemes {
-			if msg, bad := row.Errs[s]; bad {
-				_ = msg
+			if _, bad := row.Errs[s]; bad {
 				fmt.Fprintf(&b, " %12s", "fails")
 				continue
 			}

@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"swapcodes/internal/compiler"
 	"swapcodes/internal/ecc"
+	"swapcodes/internal/engine"
 	"swapcodes/internal/faultsim"
 	"swapcodes/internal/isa"
 )
@@ -57,7 +59,7 @@ func TestRunPerfFig12Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep")
 	}
-	perf, err := RunPerf(Fig12Schemes(), true)
+	perf, err := newSession(true).Perf(context.Background(), Fig12Schemes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +110,7 @@ func TestRunPerfFig12Shape(t *testing.T) {
 }
 
 func TestRunInjectionSmall(t *testing.T) {
-	inj, err := RunInjection(400, 3)
+	inj, err := newSession(false).Injection(context.Background(), 400, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +157,7 @@ func TestRunPowerFig14(t *testing.T) {
 	if testing.Short() {
 		t.Skip("power sweep")
 	}
-	pr, err := RunPower()
+	pr, err := newSession(false).Power(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +190,7 @@ func TestFig15FailuresRecorded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")
 	}
-	perf, err := RunPerf(Fig15Schemes(), false)
+	perf, err := newSession(false).Perf(context.Background(), Fig15Schemes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +236,7 @@ func TestHeadline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep")
 	}
-	rows, err := Headline(300, 2)
+	rows, err := newSession(true).Headline(context.Background(), 300, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,4 +249,10 @@ func TestHeadline(t *testing.T) {
 			t.Errorf("headline missing %q", want)
 		}
 	}
+}
+
+// newSession is a fresh all-cores session, so a test's results are never
+// served from another test's memo.
+func newSession(verify bool) *Session {
+	return NewSession(engine.New(0), Options{Verify: verify})
 }

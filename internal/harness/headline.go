@@ -7,7 +7,6 @@ import (
 
 	"swapcodes/internal/compiler"
 	"swapcodes/internal/ecc"
-	"swapcodes/internal/engine"
 )
 
 // HeadlineRow is one paper claim with its measured value.
@@ -17,34 +16,32 @@ type HeadlineRow struct {
 	Measured string
 }
 
-// Headline recomputes the paper's headline claims in one pass (the table
-// EXPERIMENTS.md freezes) — the fastest way to check the whole artifact.
-// tuples controls the injection campaign size per unit.
-func Headline(tuples int, seed int64) ([]HeadlineRow, error) {
-	return HeadlineCtx(context.Background(), DefaultPool(), tuples, seed)
-}
-
-// HeadlineCtx is Headline on a caller-owned pool and context: all five
-// sweeps and the injection campaign execute their jobs on the given pool.
-func HeadlineCtx(ctx context.Context, pool *engine.Pool, tuples int, seed int64) ([]HeadlineRow, error) {
-	perf, err := RunPerfCtx(ctx, pool, Fig12Schemes(), true)
+// Headline is the paper's headline claims with their measured values (the
+// table EXPERIMENTS.md freezes) — the fastest way to check the whole
+// artifact. It reads the session's flat-latency Figure 12, 15 and Fp-MAD
+// launches, its Figure 14 power estimate and its injection campaign of
+// `tuples` per unit, computing whichever of them no other artifact of the
+// session has yet.
+func (s *Session) Headline(ctx context.Context, tuples int, seed int64) ([]HeadlineRow, error) {
+	flat := s.WithMemModel("")
+	perf, err := flat.Perf(ctx, Fig12Schemes())
 	if err != nil {
 		return nil, err
 	}
 	mix := RunCodeMix(perf)
-	inj, err := RunInjectionCtx(ctx, pool, tuples, seed)
+	inj, err := s.Injection(ctx, tuples, seed)
 	if err != nil {
 		return nil, err
 	}
-	pwr, err := RunPower()
+	pwr, err := s.Power(ctx)
 	if err != nil {
 		return nil, err
 	}
-	inter, err := RunPerfCtx(ctx, pool, Fig15Schemes(), false)
+	inter, err := flat.Perf(ctx, Fig15Schemes())
 	if err != nil {
 		return nil, err
 	}
-	fp, err := RunPerfCtx(ctx, pool, []compiler.Scheme{compiler.SwapPredictFpMAD}, false)
+	fp, err := flat.Perf(ctx, []compiler.Scheme{compiler.SwapPredictFpMAD})
 	if err != nil {
 		return nil, err
 	}

@@ -1,28 +1,13 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"swapcodes/internal/arith"
-	"swapcodes/internal/core"
 	"swapcodes/internal/ecc"
 	"swapcodes/internal/faultsim"
-	"swapcodes/internal/trace"
 )
-
-// CollectOperands runs un-duplicated workloads under the value tracer and
-// returns the operand trace. The paper traces the Rodinia 2.3 programs,
-// targets the lowest-numbered threads, and bounds the trace size
-// (Section IV-A); we additionally trace SNAP because it is the workload
-// with substantial double-precision arithmetic — without it the FP64 units
-// would be injected with synthetic operands instead of real ones.
-// Workloads are traced in parallel on the default pool; the merged trace
-// matches a serial collection exactly (see CollectOperandsCtx).
-func CollectOperands(limit int) (*trace.OperandTrace, error) {
-	return CollectOperandsCtx(context.Background(), DefaultPool(), limit)
-}
 
 // UnitInjection is one arithmetic unit's campaign outcome.
 type UnitInjection struct {
@@ -75,15 +60,6 @@ func (r *InjectionResult) TuplesPerSec() float64 {
 		tuples += u.Evals.Tuples
 	}
 	return float64(tuples) / r.CampaignSeconds
-}
-
-// RunInjection traces operands, then injects `tuples` unmasked single-event
-// errors into each of the six pipelined arithmetic units (the paper uses
-// 10,000 input pairs per unit). The campaign runs sharded on the default
-// engine pool; for a given seed the result is bit-identical at any worker
-// count (see RunInjectionCtx).
-func RunInjection(tuples int, seed int64) (*InjectionResult, error) {
-	return RunInjectionCtx(context.Background(), DefaultPool(), tuples, seed)
 }
 
 // Fig11Codes returns the register-file error codes evaluated in Figure 11,
@@ -193,5 +169,3 @@ func (r *InjectionResult) DetectionCoverage(code ecc.Code) float64 {
 	f, _ := r.PooledSDC(code)
 	return 1 - f
 }
-
-var _ = core.OrgSECDEDDP // the organizations mirror these codes

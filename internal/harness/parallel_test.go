@@ -16,11 +16,11 @@ import (
 // four workers.
 func TestInjectionWorkerCountInvariance(t *testing.T) {
 	const tuples, seed = 300, 7
-	serial, err := RunInjectionCtx(context.Background(), engine.New(1), tuples, seed)
+	serial, err := NewSession(engine.New(1), Options{}).Injection(context.Background(), tuples, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunInjectionCtx(context.Background(), engine.New(4), tuples, seed)
+	par, err := NewSession(engine.New(4), Options{}).Injection(context.Background(), tuples, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +53,11 @@ func TestInjectionWorkerCountInvariance(t *testing.T) {
 // the serial sweep exactly.
 func TestPerfWorkerCountInvariance(t *testing.T) {
 	schemes := []compiler.Scheme{compiler.SwapECC}
-	serial, err := RunPerfCtx(context.Background(), engine.New(1), schemes, false)
+	serial, err := NewSession(engine.New(1), Options{}).Perf(context.Background(), schemes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunPerfCtx(context.Background(), engine.New(4), schemes, false)
+	par, err := NewSession(engine.New(4), Options{}).Perf(context.Background(), schemes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestPerfWorkerCountInvariance(t *testing.T) {
 func TestRunInjectionCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunInjectionCtx(ctx, engine.New(2), 100, 1)
+	res, err := NewSession(engine.New(2), Options{}).Injection(ctx, 100, 1)
 	if err == nil {
 		t.Fatal("expected context error")
 	}
@@ -102,7 +102,7 @@ func TestRunInjectionCtxPreCancelled(t *testing.T) {
 // it does contain must match the corresponding prefix of an uncancelled run.
 func TestRunInjectionCtxMidCampaignCancel(t *testing.T) {
 	const tuples, seed = 300, 7
-	full, err := RunInjectionCtx(context.Background(), engine.New(2), tuples, seed)
+	full, err := NewSession(engine.New(2), Options{}).Injection(context.Background(), tuples, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRunInjectionCtxMidCampaignCancel(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		res, rerr := RunInjectionCtx(ctx, pool, tuples, seed)
+		res, rerr := NewSession(pool, Options{}).Injection(ctx, tuples, seed)
 		if res == nil {
 			t.Error("cancelled campaign returned a nil result")
 			return

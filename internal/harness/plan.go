@@ -12,7 +12,7 @@ import (
 
 // InjectionPlan is the shard-level decomposition of a Figure 10/11 campaign:
 // every (unit, shard) pair as an independently runnable, independently
-// seeded unit of work. RunInjectionCtx executes a plan's shards in one flat
+// seeded unit of work. Session.Injection executes a plan's shards in one flat
 // Map; the job server executes the same shards through engine.MapIndices,
 // skipping the ones whose results it already holds from a previous,
 // interrupted run. Because shard i of unit u depends only on
@@ -43,7 +43,7 @@ type ShardResult struct {
 // PlanInjection seeds a campaign plan over the given units from an operand
 // trace (which may be empty: Sample then synthesizes tuples
 // deterministically). The per-unit sample and campaign seeds match
-// RunInjectionCtx exactly, so planned and monolithic runs are
+// Session.Injection exactly, so planned and monolithic runs are
 // interchangeable.
 func PlanInjection(units []*arith.Unit, tr *trace.OperandTrace, tuples int, seed int64) *InjectionPlan {
 	p := &InjectionPlan{Units: units, Tuples: tuples, Seed: seed}

@@ -1,12 +1,13 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"swapcodes/internal/compiler"
+	"swapcodes/internal/engine"
 	"swapcodes/internal/power"
-	"swapcodes/internal/sm"
 	"swapcodes/internal/workloads"
 )
 
@@ -27,41 +28,37 @@ type PowerResult struct {
 	Rows []PowerRow
 }
 
-// Fig14Schemes are the organizations Figure 14 charts.
-func Fig14Schemes() []compiler.Scheme {
-	return []compiler.Scheme{compiler.SWDup, compiler.SwapECC,
-		compiler.SwapPredictAddSub, compiler.SwapPredictMAD}
-}
-
-// RunPower estimates power and energy for the high-utilization workloads
-// using the paper's sampling procedure (90th percentile over coarse
-// windows; the kernel occupies most of the application window for these
-// two programs).
-func RunPower() (*PowerResult, error) {
+// Power estimates power and energy for the high-utilization workloads
+// under the Figure 12 schemes, using the paper's sampling procedure (90th
+// percentile over coarse windows; the kernel occupies most of the
+// application window for these two programs). The estimate reads the
+// session's flat-latency launches, so it costs no simulation the Figure 12
+// sweep has already run.
+func (s *Session) Power(ctx context.Context) (*PowerResult, error) {
+	var hot []*workloads.Workload
+	for _, w := range workloads.All() {
+		if w.HighUtil {
+			hot = append(hot, w)
+		}
+	}
+	flat := s.WithMemModel("")
+	rows, err := engine.Map(ctx, s.pool, len(hot), func(ctx context.Context, i int) (*PerfRow, error) {
+		return flat.perfRow(ctx, hot[i], Fig12Schemes())
+	})
+	if err != nil {
+		return nil, err
+	}
 	model := power.DefaultModel()
 	res := &PowerResult{}
-	for _, w := range workloads.All() {
-		if !w.HighUtil {
-			continue
+	for _, row := range rows {
+		for sc, msg := range row.Errs {
+			return nil, fmt.Errorf("harness: power %s/%v: %s", row.Workload, sc, msg)
 		}
-		var baseW, baseE float64
-		for _, s := range append([]compiler.Scheme{compiler.Baseline}, Fig14Schemes()...) {
-			k, err := compiler.Apply(w.Kernel, s)
-			if err != nil {
-				return nil, err
-			}
-			g := w.NewGPU(sm.DefaultConfig())
-			st, err := g.Launch(k)
-			if err != nil {
-				return nil, err
-			}
-			watts, energy := model.Estimate(st, 0.8, 66)
-			if s == compiler.Baseline {
-				baseW, baseE = watts, energy
-				continue
-			}
+		baseW, baseE := model.Estimate(row.Baseline, 0.8, 66)
+		for _, sc := range Fig12Schemes() {
+			watts, energy := model.Estimate(row.Stats[sc], 0.8, 66)
 			res.Rows = append(res.Rows, PowerRow{
-				Workload: w.Name, Scheme: s,
+				Workload: row.Workload, Scheme: sc,
 				Watts: watts, EnergyUJ: energy,
 				RelPower:  watts / baseW,
 				RelEnergy: energy / baseE,

@@ -61,38 +61,34 @@ type SMProfResult struct {
 	Rows    []*SMProfRow `json:"rows"`
 }
 
-// RunSMProf profiles every workload under baseline plus the Figure 12
-// schemes at the given worker count.
-func RunSMProf(workers int) (*SMProfResult, error) {
-	return RunSMProfCtx(context.Background(), Fig12Schemes(), Options{SMWorkers: workers})
-}
-
-// RunSMProfCtx runs the attribution sweep. Unlike the perf sweeps, rows run
-// strictly serially — one launch at a time on an otherwise idle process —
-// because the product is a wall-time partition, and engine-pool contention
-// would bleed scheduler noise into exactly the quantity being measured.
-func RunSMProfCtx(ctx context.Context, schemes []compiler.Scheme, opt Options) (*SMProfResult, error) {
-	res := &SMProfResult{Workers: opt.SMWorkers}
+// SMProf profiles every workload under baseline plus the given schemes at
+// the session's SM worker count. Unlike the perf sweeps, rows run strictly
+// serially — one launch at a time on an otherwise idle process — because
+// the product is a wall-time partition, and engine-pool contention would
+// bleed scheduler noise into exactly the quantity being measured. For the
+// same reason nothing here is memoized: every row is a fresh launch.
+func (s *Session) SMProf(ctx context.Context, schemes []compiler.Scheme) (*SMProfResult, error) {
+	res := &SMProfResult{Workers: s.opt.SMWorkers}
 	for _, w := range workloads.All() {
-		for _, s := range append([]compiler.Scheme{compiler.Baseline}, schemes...) {
+		for _, sc := range append([]compiler.Scheme{compiler.Baseline}, schemes...) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			k, err := compiler.Apply(w.Kernel, s)
+			k, err := compiler.Apply(w.Kernel, sc)
 			if err != nil {
 				// Scheme inapplicable to this workload (inter-thread on
 				// mm/snap); skip the row like the perf sweep does.
 				continue
 			}
-			g := w.NewGPU(opt.smConfig())
+			g := w.NewGPU(s.opt.smConfig())
 			prof := &simprof.LaunchProf{}
 			g.Prof = prof
 			if _, err := g.LaunchContext(ctx, k); err != nil {
-				return nil, fmt.Errorf("harness: smprof %s/%v: %w", w.Name, s, err)
+				return nil, fmt.Errorf("harness: smprof %s/%v: %w", w.Name, sc, err)
 			}
 			res.Rows = append(res.Rows, &SMProfRow{
 				Workload:      w.Name,
-				Scheme:        SchemeName(s),
+				Scheme:        SchemeName(sc),
 				Cycles:        prof.Cycles,
 				Rounds:        prof.Rounds,
 				IdleRounds:    prof.IdleRounds,

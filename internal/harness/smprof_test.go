@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"swapcodes/internal/compiler"
+	"swapcodes/internal/engine"
 )
 
 // TestRunSMProf runs the attribution sweep on a two-scheme slice and checks
@@ -16,8 +17,8 @@ func TestRunSMProf(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload sweep")
 	}
-	res, err := RunSMProfCtx(context.Background(),
-		[]compiler.Scheme{compiler.SwapECC}, Options{SMWorkers: 2})
+	res, err := NewSession(engine.New(1), Options{SMWorkers: 2}).SMProf(context.Background(),
+		[]compiler.Scheme{compiler.SwapECC})
 	if err != nil {
 		t.Fatal(err)
 	}

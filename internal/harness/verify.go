@@ -60,31 +60,28 @@ func (r *VerifyResult) Render(title string) string {
 	return b.String()
 }
 
-// RunVerify checks every workload against the full matrix on the default
-// pool.
-func RunVerify() (*VerifyResult, error) {
-	return RunVerifyCtx(context.Background(), DefaultPool(), verify.Matrix())
-}
-
-// RunVerifyCtx runs the differential verifier workload-parallel: each job
+// Verify runs the differential verifier workload-parallel: each job
 // replays one workload's baseline once, then checks every combo against it.
+// It shares no launches with the other artifacts (every check replays its
+// own instrumented runs), so nothing here is memoized.
 // Pass/fail outcomes are deterministic, so results are independent of the
 // worker count. Verification failures land in VerifyRow.Failures — the
 // returned error reports only infrastructure problems (cancellation,
 // baseline compile/run errors).
-func RunVerifyCtx(ctx context.Context, pool *engine.Pool, combos []verify.Combo) (*VerifyResult, error) {
+func (s *Session) Verify(ctx context.Context, combos []verify.Combo) (*VerifyResult, error) {
+	pool := s.pool
 	all := workloads.All()
 	rows, err := engine.Map(ctx, pool, len(all), func(ctx context.Context, i int) (*VerifyRow, error) {
 		rec := pool.Recorder()
 		start := rec.Now()
 		w := all[i]
 		row := &VerifyRow{Workload: w.Name}
-		s := verify.NewSubject(w.Kernel, w.MemWords, w.Setup)
+		subj := verify.NewSubject(w.Kernel, w.MemWords, w.Setup)
 		for _, c := range combos {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
-			switch cerr := s.Check(c); {
+			switch cerr := subj.Check(c); {
 			case cerr == nil:
 				row.Passed++
 			case errors.Is(cerr, verify.ErrNotApplicable):

@@ -18,7 +18,7 @@ func TestRunVerifySweep(t *testing.T) {
 		t.Skip("replays the workload suite across the short matrix")
 	}
 	combos := verify.ShortMatrix()
-	res, err := RunVerifyCtx(context.Background(), engine.New(0), combos)
+	res, err := NewSession(engine.New(0), Options{}).Verify(context.Background(), combos)
 	if err != nil {
 		t.Fatal(err)
 	}

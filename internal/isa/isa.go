@@ -410,7 +410,25 @@ func (k *Kernel) Validate() error {
 	if !sawExit {
 		return fmt.Errorf("isa: kernel %s: no EXIT", k.Name)
 	}
+	last := &k.Code[len(k.Code)-1]
+	if !last.Unconditional() || (last.Op != EXIT && last.Op != BRA && last.Op != BPT) {
+		return &FallThroughError{Kernel: k.Name, PC: len(k.Code) - 1, Op: last.Op}
+	}
 	return nil
+}
+
+// FallThroughError rejects a kernel whose last instruction can pass control
+// beyond the end of the code: anything but an unconditional EXIT, BRA or BPT
+// (a guarded EXIT, for instance, falls through on its guarded-off lanes).
+type FallThroughError struct {
+	Kernel string
+	PC     int
+	Op     Opcode
+}
+
+func (e *FallThroughError) Error() string {
+	return fmt.Sprintf("isa: kernel %s: pc %d: last instruction %s can fall through past the end of the code",
+		e.Kernel, e.PC, e.Op)
 }
 
 // UsesShuffle reports whether the kernel contains cross-lane SHFL

@@ -11,8 +11,8 @@ import (
 )
 
 // Register mounts the jobs API on mux, layering it onto the obs server
-// (obs.StartServerWith passes its mux here, so /jobs lives next to /metrics
-// and /runs):
+// (obs.StartConfigured passes its mux here via ServerConfig.Register, so
+// /jobs lives next to /metrics and /runs):
 //
 //	POST /jobs              submit a Spec, 202 {"id": ...}
 //	GET  /jobs              list job statuses

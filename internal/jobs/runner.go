@@ -63,21 +63,26 @@ func (r *runner) run(ctx context.Context, j *Job, replayed map[int]*ShardSummary
 		r.rec.Instant(pid, 1, "result cache miss", "job", r.rec.Now(),
 			r.tc.Args(map[string]any{"key": key[:16]}))
 	}
+	// One harness session per job: its memo shares launches within the
+	// job (a headline's sweeps and power estimate) and dies with it, so the
+	// content-addressed cache stays the only cross-job reuse.
+	sess := harness.NewSession(r.pool, harness.Options{SMWorkers: j.Spec.SMWorkers,
+		FlightRecord: true, MemModel: j.Spec.MemModel, Verify: !j.Spec.SkipVerify})
 	var (
 		v   any
 		err error
 	)
 	switch j.Spec.Kind {
 	case KindCampaign:
-		v, err = r.runCampaign(ctx, j, replayed)
+		v, err = r.runCampaign(ctx, sess, j, replayed)
 	case KindPerf:
-		v, err = r.runPerf(ctx, j.Spec)
+		v, err = runPerf(ctx, sess, j.Spec)
 	case KindHeadline:
-		v, err = r.runHeadline(ctx, j.Spec)
+		v, err = runHeadline(ctx, sess, j.Spec)
 	case KindCPIStack:
-		v, err = r.runCPIStack(ctx, j.Spec)
+		v, err = runCPIStack(ctx, sess, j.Spec)
 	case KindVerify:
-		v, err = r.runVerify(ctx)
+		v, err = runVerify(ctx, sess)
 	default:
 		err = fmt.Errorf("jobs: unknown kind %q", j.Spec.Kind)
 	}
@@ -150,10 +155,10 @@ type CampaignResult struct {
 	Digest string `json:"digest"`
 }
 
-func (r *runner) runCampaign(ctx context.Context, j *Job, replayed map[int]*ShardSummary) (*CampaignResult, error) {
+func (r *runner) runCampaign(ctx context.Context, sess *harness.Session, j *Job, replayed map[int]*ShardSummary) (*CampaignResult, error) {
 	spec := j.Spec
 	units := r.cache.Units()
-	tr, err := r.operandTrace(ctx, spec.Tuples)
+	tr, err := r.operandTrace(ctx, sess, spec.Tuples)
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +325,7 @@ func assembleCampaign(spec Spec, plan *harness.InjectionPlan, sums []*ShardSumma
 // cache or collects it (a full workload replay) and stores it. The trace is
 // the service's most expensive reusable intermediate: every campaign and
 // headline job at the same tuple limit shares one collection.
-func (r *runner) operandTrace(ctx context.Context, limit int) (*trace.OperandTrace, error) {
+func (r *runner) operandTrace(ctx context.Context, sess *harness.Session, limit int) (*trace.OperandTrace, error) {
 	key := CacheKey("trace", "v1", fmt.Sprintf("limit=%d", limit))
 	if b, ok := r.cache.Get("trace", key); ok {
 		tr := trace.NewOperandTrace(limit)
@@ -329,7 +334,7 @@ func (r *runner) operandTrace(ctx context.Context, limit int) (*trace.OperandTra
 		}
 		// Corrupt cache entry: fall through and recollect.
 	}
-	tr, err := harness.CollectOperandsCtx(ctx, r.pool, limit)
+	tr, err := sess.Operands(ctx, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -358,13 +363,17 @@ type PerfResult struct {
 	Text    string             `json:"text"`
 }
 
-func (r *runner) runPerf(ctx context.Context, spec Spec) (*PerfResult, error) {
+// sweep is the session sweep behind perf and cpistack jobs.
+func sweep(ctx context.Context, sess *harness.Session, spec Spec) (*harness.PerfResult, error) {
 	schemes, err := harness.ParseSchemes(spec.Schemes)
 	if err != nil {
 		return nil, err
 	}
-	perf, err := harness.RunPerfCtxOpts(ctx, r.pool, schemes, !spec.SkipVerify,
-		harness.Options{SMWorkers: spec.SMWorkers, FlightRecord: true, MemModel: spec.MemModel})
+	return sess.Perf(ctx, schemes)
+}
+
+func runPerf(ctx context.Context, sess *harness.Session, spec Spec) (*PerfResult, error) {
+	perf, err := sweep(ctx, sess, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -394,8 +403,8 @@ type HeadlineResult struct {
 	Text   string                `json:"text"`
 }
 
-func (r *runner) runHeadline(ctx context.Context, spec Spec) (*HeadlineResult, error) {
-	rows, err := harness.HeadlineCtx(ctx, r.pool, spec.Tuples, spec.Seed)
+func runHeadline(ctx context.Context, sess *harness.Session, spec Spec) (*HeadlineResult, error) {
+	rows, err := sess.Headline(ctx, spec.Tuples, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -411,13 +420,8 @@ type CPIStackResult struct {
 	CSV     string   `json:"csv"`
 }
 
-func (r *runner) runCPIStack(ctx context.Context, spec Spec) (*CPIStackResult, error) {
-	schemes, err := harness.ParseSchemes(spec.Schemes)
-	if err != nil {
-		return nil, err
-	}
-	perf, err := harness.RunPerfCtxOpts(ctx, r.pool, schemes, !spec.SkipVerify,
-		harness.Options{SMWorkers: spec.SMWorkers, FlightRecord: true, MemModel: spec.MemModel})
+func runCPIStack(ctx context.Context, sess *harness.Session, spec Spec) (*CPIStackResult, error) {
+	perf, err := sweep(ctx, sess, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -444,8 +448,8 @@ type VerifyResult struct {
 	Text   string               `json:"text"`
 }
 
-func (r *runner) runVerify(ctx context.Context) (*VerifyResult, error) {
-	vr, err := harness.RunVerifyCtx(ctx, r.pool, verify.Matrix())
+func runVerify(ctx context.Context, sess *harness.Session) (*VerifyResult, error) {
+	vr, err := sess.Verify(ctx, verify.Matrix())
 	if err != nil {
 		return nil, err
 	}

@@ -151,17 +151,6 @@ func unescapeLabelValue(v string) string {
 	return b.String()
 }
 
-// LabelValue returns the value of key in a labeled name ("" when absent).
-func LabelValue(name, key string) string {
-	_, labels := ParseName(name)
-	for _, l := range labels {
-		if l.Key == key {
-			return l.Value
-		}
-	}
-	return ""
-}
-
 // SumCounters sums every counter whose base name (labels stripped) equals
 // base — the aggregate view of a labeled counter family, used by progress
 // lines that want one number across kernels/schemes/units.

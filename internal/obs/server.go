@@ -77,13 +77,6 @@ func StartServer(addr string, reg *Registry, runs func() any) (*Server, error) {
 	return StartConfigured(ServerConfig{Addr: addr, Registry: reg, Runs: runs})
 }
 
-// StartServerWith is StartServer with an extension hook: register, when
-// non-nil, may add handlers to the server's mux before it starts serving.
-// Handlers registered here share the server's graceful-shutdown behavior.
-func StartServerWith(addr string, reg *Registry, runs func() any, register func(mux *http.ServeMux)) (*Server, error) {
-	return StartConfigured(ServerConfig{Addr: addr, Registry: reg, Runs: runs, Register: register})
-}
-
 // StartConfigured starts the full observability surface described by cfg.
 func StartConfigured(cfg ServerConfig) (*Server, error) {
 	ln, err := net.Listen("tcp", cfg.Addr)

@@ -265,15 +265,6 @@ type Bundle struct {
 	Merge      []Decision
 }
 
-// Decisions returns the total retained decision count.
-func (b *Bundle) Decisions() int {
-	n := len(b.Merge)
-	for _, p := range b.Partitions {
-		n += len(p)
-	}
-	return n
-}
-
 // ReadBundle parses a JSONL bundle, validating the end-line count so a
 // truncated dump is reported rather than silently replayed short.
 func ReadBundle(r io.Reader) (*Bundle, error) {

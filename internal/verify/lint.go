@@ -14,9 +14,10 @@ package verify
 //	   or checking code may write them, and only checking, compiler-
 //	   inserted, or masked-access code may guard on them.
 //	R4 control sanity: branch targets in bounds, conditional branches carry
-//	   reconvergence points (Kernel.Validate).
+//	   reconvergence points, and no path falls off the end of the code
+//	   (Kernel.Validate).
 //	R5 termination: every reachable block reaches an EXIT (or an
-//	   unconditional trap), and no path falls off the end of the code.
+//	   unconditional trap).
 
 import (
 	"fmt"
@@ -215,8 +216,10 @@ func lintShadowSpace(k *isa.Kernel, origMaxReg int) []Violation {
 
 // lintControl enforces R4 (via Kernel.Validate) and R5: build the CFG, walk
 // forward from entry, and require every reachable block to reach a
-// terminating block — one ending in an unconditional EXIT or BPT — without
-// any path running off the end of the code.
+// terminating block — one ending in an unconditional EXIT or BPT. Validate
+// has already rejected every path off the end of the code: the last
+// instruction is an unconditional EXIT, BPT or BRA, and branch targets are
+// in bounds.
 func lintControl(k *isa.Kernel) []Violation {
 	if err := k.Validate(); err != nil {
 		return []Violation{{"R4", -1, err.Error()}}
@@ -224,14 +227,12 @@ func lintControl(k *isa.Kernel) []Violation {
 	n := len(k.Code)
 	leaders := blockLeaderSet(k.Code)
 	var starts []int
-	blockOf := make([]int, n+1)
+	blockOf := make([]int, n)
 	for pc := 0; pc < n; pc++ {
 		if leaders[pc] {
 			starts = append(starts, pc)
 		}
 	}
-	endBlock := len(starts)
-	blockOf[n] = endBlock
 	ends := make([]int, len(starts))
 	for bi, s := range starts {
 		e := n
@@ -246,7 +247,6 @@ func lintControl(k *isa.Kernel) []Violation {
 	var vs []Violation
 	succs := make([][]int, len(starts))
 	terminal := make([]bool, len(starts))
-	fallsOff := make([]bool, len(starts))
 	for bi := range starts {
 		last := ends[bi] - 1
 		in := &k.Code[last]
@@ -256,26 +256,13 @@ func lintControl(k *isa.Kernel) []Violation {
 		case in.Op == isa.BPT && in.Unconditional():
 			terminal[bi] = true
 		case in.Op == isa.BRA:
-			t := blockOf[in.Imm]
-			if t == endBlock {
-				fallsOff[bi] = true
-			} else {
-				succs[bi] = append(succs[bi], t)
-			}
+			succs[bi] = append(succs[bi], blockOf[in.Imm])
 			if !in.Unconditional() {
-				if ends[bi] < n {
-					succs[bi] = append(succs[bi], blockOf[ends[bi]])
-				} else {
-					fallsOff[bi] = true
-				}
+				succs[bi] = append(succs[bi], blockOf[ends[bi]])
 			}
 		default:
 			// Guarded EXIT/BPT and every non-terminator fall through.
-			if ends[bi] < n {
-				succs[bi] = append(succs[bi], blockOf[ends[bi]])
-			} else {
-				fallsOff[bi] = true
-			}
+			succs[bi] = append(succs[bi], blockOf[ends[bi]])
 		}
 	}
 	// Forward reachability from entry.
@@ -290,12 +277,6 @@ func lintControl(k *isa.Kernel) []Violation {
 				reach[s] = true
 				stack = append(stack, s)
 			}
-		}
-	}
-	for bi := range starts {
-		if reach[bi] && fallsOff[bi] {
-			vs = append(vs, Violation{"R5", ends[bi] - 1,
-				"reachable path runs off the end of the code without EXIT"})
 		}
 	}
 	// Backward reachability from terminal blocks: every reachable block must

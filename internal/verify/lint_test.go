@@ -177,7 +177,7 @@ func TestLintControl(t *testing.T) {
 				{Op: isa.EXIT, Dst: isa.RZ, Src: [3]isa.Reg{isa.RZ, isa.RZ, isa.RZ}, GuardPred: 0}, // guarded: other lanes fall through
 			}}
 		vs := lintViolations(t, k, compiler.Baseline, 1)
-		if !hasRule(vs, "R5", "runs off the end") {
+		if !hasRule(vs, "R4", "can fall through past the end") {
 			t.Fatalf("fall-off-end not flagged: %v", vs)
 		}
 	})
