@@ -13,11 +13,7 @@
 // IEEE-754 arithmetic.
 package arith
 
-import (
-	"sync"
-
-	"swapcodes/internal/gates"
-)
+import "swapcodes/internal/gates"
 
 // Unit couples a synthesized netlist with its reference model and metadata.
 type Unit struct {
@@ -34,9 +30,6 @@ type Unit struct {
 	OutputWidth int
 	// Ref computes the fault-free result for scalar operands.
 	Ref func(ops []uint64) uint64
-
-	coneOnce  sync.Once
-	coneStats gates.ConeStats
 }
 
 // Units builds the full set of six units evaluated in Figure 10. Building
@@ -55,12 +48,10 @@ func Units() []*Unit {
 
 // ConeStats summarizes the unit netlist's fan-out cone sizes over its
 // fault sites — the structural headroom of incremental fault evaluation
-// (small mean cone fraction ⇒ large campaign speedup). The statistics are
-// computed on first call and cached: they only depend on the immutable
-// netlist, and a full sweep over the biggest units costs ~1s.
+// (small mean cone fraction ⇒ large campaign speedup). The per-node sizes
+// behind it are memoized on the circuit, so repeated calls only re-sum them.
 func (u *Unit) ConeStats() gates.ConeStats {
-	u.coneOnce.Do(func() { u.coneStats = u.Circuit.ConeStats() })
-	return u.coneStats
+	return u.Circuit.ConeStats()
 }
 
 // PackOperands expands up to 64 operand tuples into the bit-lane input

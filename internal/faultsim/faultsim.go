@@ -79,10 +79,11 @@ func (in Injection) SeverityOf() Severity {
 // operand tuples. By default it runs on the incremental cone evaluator
 // (gates.ConeEvaluator): tuples are packed 64 per lane batch, one
 // fault-free baseline pass snapshots the batch, and every injection attempt
-// re-evaluates only the drawn site's fan-out cone — O(cone) instead of
-// O(netlist) per attempt. The site draw sequence is untouched, so the
-// injection stream is bit-identical to the naive whole-netlist evaluator
-// (asserted by the equivalence tests against FullEval).
+// re-evaluates only the nodes of the drawn site's fan-out cone that its
+// fault actually changes — at most O(cone) instead of O(netlist) per
+// attempt. The site draw sequence is untouched, so the injection stream is
+// bit-identical to the naive whole-netlist evaluator (asserted by the
+// equivalence tests against FullEval).
 type Campaign struct {
 	Unit *arith.Unit
 	// MaxAttempts bounds the per-tuple search for an unmasked site
@@ -130,8 +131,9 @@ type EvalStats struct {
 	gates.EvalCounters
 }
 
-// ReEvalFrac is the fraction of a full per-attempt netlist evaluation the
-// campaign actually paid: ConeNodes / (SiteEvals × NetNodes). The naive
+// ReEvalFrac is the fraction of a full per-attempt netlist evaluation a
+// static-cone sweep of the drawn sites pays: ConeNodes / (SiteEvals ×
+// NetNodes). The event-driven evaluator pays at most this. The naive
 // FullEval path reports 1.
 func (s EvalStats) ReEvalFrac() float64 {
 	if s.SiteEvals == 0 || s.NetNodes == 0 {
@@ -194,8 +196,8 @@ func (c *Campaign) RunContext(ctx context.Context, tuples [][]uint64) ([]Injecti
 		hi := min(lo+64, len(tuples))
 		batch := tuples[lo:hi]
 		// One fault-free pass snapshots all 64 tuples of the batch; every
-		// attempt below re-evaluates only the drawn site's cone against it
-		// and reads its own tuple's lane.
+		// attempt below re-evaluates only what the drawn site's fault
+		// changes and reads its own tuple's lane.
 		c.cev.Baseline(c.Unit.PackOperands(batch))
 		for lane, ops := range batch {
 			golden := c.Unit.Ref(ops)

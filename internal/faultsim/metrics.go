@@ -30,7 +30,8 @@ func RecordShard(rec *obs.Recorder, tc obs.TraceContext, unit string, shard int,
 	reg.Counter(obs.Name("faultsim.tuples", kv...)).Add(int64(tuples))
 	reg.Counter(obs.Name("faultsim.unmasked", kv...)).Add(int64(len(inj)))
 	// Incremental-evaluator accounting: baseline_nodes is snapshot work,
-	// cone_nodes is per-attempt re-evaluation work, site_evals counts
+	// cone_nodes sums the static cone sizes of the drawn sites (an upper
+	// bound on the event-driven re-evaluation work), site_evals counts
 	// attempts. The campaign-wide re-eval fraction is
 	// cone_nodes / (site_evals × netlist nodes); per-shard the same ratio
 	// lands in the reeval_pct histogram, and cone_mean_nodes tracks the

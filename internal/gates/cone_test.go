@@ -2,12 +2,13 @@ package gates
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
 // reachable computes node site's fan-out cone by brute force: for each node,
 // walk its fan-in transitively and check whether site appears. Quadratic and
-// independent of the CSR/BFS code under test.
+// independent of the bit-parallel code under test.
 func reachable(c *Circuit, site int) map[int32]bool {
 	cone := map[int32]bool{int32(site): true}
 	for i := 0; i < c.NumNodes(); i++ {
@@ -20,46 +21,91 @@ func reachable(c *Circuit, site int) map[int32]bool {
 	return cone
 }
 
-// TestFanoutConeMatchesReachability: for random circuits and every node, the
-// run-encoded cone contains exactly the transitively reachable nodes, in
-// ascending (topological) order, and its output list is exactly the output
-// positions driven by cone nodes.
-func TestFanoutConeMatchesReachability(t *testing.T) {
+// TestConeSizesMatchReachability: for random circuits and every node, the
+// bit-parallel cone size equals the brute-force reachable set's size. The
+// circuits span several 64-node blocks (the block boundaries move from
+// trial to trial). The deep ones draw fan-ins mostly from recent nodes, so
+// their early cones hold more than 128 nodes and the bit-plane counters
+// carry across eight planes.
+func TestConeSizesMatchReachability(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 10; trial++ {
-		c := randomCircuit(rng, 5, 80)
-		for site := 0; site < c.NumNodes(); site++ {
-			want := reachable(c, site)
-			k := c.FanoutCone(site)
-			nodes := k.Nodes()
-			if len(nodes) != k.Size() || len(nodes) != len(want) {
-				t.Fatalf("trial %d site %d: cone size %d/%d, want %d", trial, site, len(nodes), k.Size(), len(want))
-			}
-			prev := int32(-1)
-			for _, n := range nodes {
-				if n <= prev {
-					t.Fatalf("trial %d site %d: cone nodes not ascending at %d", trial, site, n)
-				}
-				prev = n
-				if !want[n] {
-					t.Fatalf("trial %d site %d: node %d in cone but not reachable", trial, site, n)
-				}
-			}
-			wantOuts := map[int32]bool{}
-			for j, o := range c.outputs {
-				if want[int32(o)] {
-					wantOuts[int32(j)] = true
-				}
-			}
-			if len(k.Outputs()) != len(wantOuts) {
-				t.Fatalf("trial %d site %d: %d cone outputs, want %d", trial, site, len(k.Outputs()), len(wantOuts))
-			}
-			for _, oj := range k.Outputs() {
-				if !wantOuts[oj] {
-					t.Fatalf("trial %d site %d: output %d not driven by cone", trial, site, oj)
-				}
-			}
+	for trial := 0; trial < 8; trial++ {
+		checkConeSizes(t, randomCircuit(rng, 5, 130+37*trial))
+		c := deepCircuit(rng, 200+37*trial)
+		checkConeSizes(t, c)
+		if st := c.ConeStats(); st.MaxCone <= 128 {
+			t.Fatalf("trial %d: largest deep cone has only %d nodes", trial, st.MaxCone)
 		}
+	}
+}
+
+// deepCircuit builds a random DAG whose gates read mostly the last few
+// nodes, giving long paths and large fan-out cones.
+func deepCircuit(rng *rand.Rand, nGates int) *Circuit {
+	b := NewBuilder("deep")
+	nodes := []int{b.Zero(), b.One(), b.Input(), b.Input()}
+	pick := func() int {
+		if rng.Intn(4) == 0 {
+			return nodes[rng.Intn(len(nodes))]
+		}
+		return nodes[len(nodes)-1-rng.Intn(min(len(nodes), 4))]
+	}
+	for i := 0; i < nGates; i++ {
+		var n int
+		switch rng.Intn(5) {
+		case 0:
+			n = b.Not(pick())
+		case 1:
+			n = b.Xor(pick(), pick())
+		case 2:
+			n = b.Nand(pick(), pick())
+		case 3:
+			n = b.Mux(pick(), pick(), pick())
+		default:
+			n = b.FF(pick())
+		}
+		nodes = append(nodes, n)
+		if rng.Intn(16) == 0 {
+			b.Output(n)
+		}
+	}
+	b.Output(nodes[len(nodes)-1])
+	return b.Build()
+}
+
+// checkConeSizes asserts every node's cone size against reachable.
+func checkConeSizes(t *testing.T, c *Circuit) {
+	t.Helper()
+	size := c.coneSizes()
+	if len(size) != c.NumNodes() {
+		t.Fatalf("%d cone sizes for %d nodes", len(size), c.NumNodes())
+	}
+	for site := 0; site < c.NumNodes(); site++ {
+		if want := len(reachable(c, site)); int(size[site]) != want {
+			t.Fatalf("%d nodes: node %d (%v) cone size %d, want %d",
+				c.NumNodes(), site, c.Kind(site), size[site], want)
+		}
+	}
+}
+
+// checkConeStats asserts ConeStats field for field against brute force.
+func checkConeStats(t *testing.T, c *Circuit) {
+	t.Helper()
+	st := c.ConeStats()
+	sites := c.FaultSites()
+	want := ConeStats{Sites: len(sites), NetNodes: c.NumNodes()}
+	total := 0
+	for _, s := range sites {
+		n := len(reachable(c, s))
+		total += n
+		want.MaxCone = max(want.MaxCone, n)
+	}
+	if len(sites) > 0 {
+		want.MeanCone = float64(total) / float64(len(sites))
+		want.MeanFrac = want.MeanCone / float64(c.NumNodes())
+	}
+	if st != want {
+		t.Fatalf("ConeStats %+v, want %+v", st, want)
 	}
 }
 
@@ -141,10 +187,9 @@ func TestConeDegenerateConstantOnly(t *testing.T) {
 		t.Fatalf("constant-only stats: %+v", st)
 	}
 	// Cones of the constants themselves are well-defined: just the node.
-	for site := 0; site < c.NumNodes(); site++ {
-		k := c.FanoutCone(site)
-		if k.Size() != 1 || len(k.Outputs()) != 1 {
-			t.Fatalf("const node %d cone: size %d outputs %d", site, k.Size(), len(k.Outputs()))
+	for site, n := range c.coneSizes() {
+		if n != 1 {
+			t.Fatalf("const node %d cone size %d", site, n)
 		}
 	}
 	inc := NewConeEvaluator(c)
@@ -166,13 +211,13 @@ func TestConeDegenerateSingleGate(t *testing.T) {
 	if len(sites) != 1 {
 		t.Fatalf("fault sites: %v", sites)
 	}
-	k := c.FanoutCone(sites[0])
-	if k.Size() != 1 || k.NumRuns() != 1 {
-		t.Fatalf("single-gate cone: size %d runs %d", k.Size(), k.NumRuns())
+	size := c.coneSizes()
+	if size[sites[0]] != 1 {
+		t.Fatalf("single-gate cone size %d", size[sites[0]])
 	}
 	// The input's cone covers the gate too.
-	if ik := c.FanoutCone(in); ik.Size() != 2 {
-		t.Fatalf("input cone size %d", ik.Size())
+	if size[in] != 2 {
+		t.Fatalf("input cone size %d", size[in])
 	}
 	inc := NewConeEvaluator(c)
 	word := uint64(0x0f0f0f0f0f0f0f0f)
@@ -201,11 +246,10 @@ func TestConeDegenerateFFChain(t *testing.T) {
 	if got := len(c.FaultSites()); got != 4 {
 		t.Fatalf("FF-only circuit has %d sites, want 4", got)
 	}
-	// FF i's cone is the chain suffix, one run.
+	// FF i's cone is the chain suffix.
 	for i, ff := range ffs {
-		k := c.FanoutCone(ff)
-		if k.Size() != 4-i || k.NumRuns() != 1 {
-			t.Fatalf("FF %d cone: size %d runs %d", i, k.Size(), k.NumRuns())
+		if n := c.coneSizes()[ff]; n != int32(4-i) {
+			t.Fatalf("FF %d cone size %d", i, n)
 		}
 	}
 	inc := NewConeEvaluator(c)
@@ -220,38 +264,18 @@ func TestConeDegenerateFFChain(t *testing.T) {
 	}
 }
 
-// TestConeStatsMatchesCones cross-checks the streaming ConeStats sweep
-// against per-site FanoutCone sizes.
+// TestConeStatsMatchesCones cross-checks ConeStats against the sizes of
+// brute-force cones, on circuits that cross several 64-node blocks.
 func TestConeStatsMatchesCones(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	c := randomCircuit(rng, 5, 60)
-	st := c.ConeStats()
-	sites := c.FaultSites()
-	if st.Sites != len(sites) || st.NetNodes != c.NumNodes() {
-		t.Fatalf("stats header: %+v", st)
-	}
-	var total, maxC int
-	for _, s := range sites {
-		n := c.FanoutCone(s).Size()
-		total += n
-		if n > maxC {
-			maxC = n
-		}
-	}
-	if st.MaxCone != maxC {
-		t.Errorf("MaxCone %d, want %d", st.MaxCone, maxC)
-	}
-	if want := float64(total) / float64(len(sites)); st.MeanCone != want {
-		t.Errorf("MeanCone %v, want %v", st.MeanCone, want)
-	}
-	if want := st.MeanCone / float64(c.NumNodes()); st.MeanFrac != want {
-		t.Errorf("MeanFrac %v, want %v", st.MeanFrac, want)
+	for trial := 0; trial < 4; trial++ {
+		checkConeStats(t, randomCircuit(rng, 5, 150+50*trial))
 	}
 }
 
 // TestEvalZeroAlloc pins the allocation-free contract of the hot evaluation
 // paths: Evaluator.Eval (which used to allocate its output slice per call)
-// and ConeEvaluator.Baseline/EvalSite with warm cone caches.
+// and ConeEvaluator.Baseline/EvalSite.
 func TestEvalZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c := randomCircuit(rng, 5, 80)
@@ -262,9 +286,6 @@ func TestEvalZeroAlloc(t *testing.T) {
 		words[i] = rng.Uint64()
 	}
 	sites := c.FaultSites()
-	for _, s := range sites {
-		c.FanoutCone(s) // warm the cone cache
-	}
 	inc.Baseline(words)
 	i := 0
 	if n := testing.AllocsPerRun(100, func() {
@@ -325,6 +346,183 @@ func FuzzConeEquivalence(f *testing.F) {
 			if gotBit := got[o]&(1<<uint(lane)) != 0; gotBit != ref[o] {
 				t.Fatalf("site %d lane %d output %d: cone %v, reference %v", site, lane, o, gotBit, ref[o])
 			}
+		}
+	})
+}
+
+// checkSites runs EvalSite for each site back to back against one snapshot
+// of words, compares every result with a full faulted Eval, and finally
+// asserts that the evaluator's node values equal the snapshot again.
+func checkSites(t *testing.T, c *Circuit, words []uint64, sites []int) {
+	t.Helper()
+	full := NewEvaluator(c)
+	inc := NewConeEvaluator(c)
+	inc.Baseline(words)
+	for _, site := range sites {
+		got := inc.EvalSite(site)
+		want := full.Eval(words, site)
+		for o := range want {
+			if got[o] != want[o] {
+				t.Fatalf("site %d (%v) output %d: event-driven %x, full %x",
+					site, c.Kind(site), o, got[o], want[o])
+			}
+		}
+	}
+	for i := range inc.val {
+		if inc.val[i] != inc.base[i] {
+			t.Fatalf("node %d not restored: %x, snapshot %x", i, inc.val[i], inc.base[i])
+		}
+	}
+	for w, d := range inc.dirty {
+		if d != 0 {
+			t.Fatalf("dirty word %d left set: %x", w, d)
+		}
+	}
+}
+
+// allNodes lists every node index of c, in ascending order.
+func allNodes(c *Circuit) []int {
+	nodes := make([]int, c.NumNodes())
+	for i := range nodes {
+		nodes[i] = i
+	}
+	return nodes
+}
+
+// TestEvalSiteEdgeCases covers the event-driven sweep's corner cases, each
+// against the full evaluator.
+func TestEvalSiteEdgeCases(t *testing.T) {
+	t.Run("masked at first gate", func(t *testing.T) {
+		b := NewBuilder("masked")
+		a := b.Input()
+		g := b.Not(a)
+		b.Output(b.And(g, b.Zero()), a)
+		c := b.Build()
+		inc := NewConeEvaluator(c)
+		word := uint64(0x5555aaaa5555aaaa)
+		base := append([]uint64(nil), inc.Baseline([]uint64{word})...)
+		got := inc.EvalSite(g)
+		for o := range base {
+			if got[o] != base[o] {
+				t.Fatalf("output %d: %x, want baseline %x", o, got[o], base[o])
+			}
+		}
+		// The accounting still charges the static cone: g and the AND.
+		if ct := inc.Counters(); ct.ConeNodes != 2 || ct.SiteEvals != 1 {
+			t.Fatalf("counters %+v", ct)
+		}
+		checkSites(t, c, []uint64{word}, allNodes(c))
+	})
+	t.Run("chain across words", func(t *testing.T) {
+		b := NewBuilder("chain")
+		n := b.Input()
+		for i := 0; i < 300; i++ {
+			if i%2 == 0 {
+				n = b.Not(n)
+			} else {
+				n = b.FF(n)
+			}
+			if i%97 == 0 {
+				b.Output(n)
+			}
+		}
+		b.Output(n)
+		c := b.Build()
+		if c.NumNodes() < 4*64 {
+			t.Fatalf("chain has %d nodes, want several words", c.NumNodes())
+		}
+		checkSites(t, c, []uint64{0x0123456789abcdef}, allNodes(c))
+	})
+	t.Run("two fan-in legs", func(t *testing.T) {
+		b := NewBuilder("legs")
+		x, y := b.Input(), b.Input()
+		g := b.Xor(x, y)
+		b.Output(
+			b.And(g, g),    // both legs change: the fault passes
+			b.Xor(g, g),    // both legs change: the fault cancels
+			b.Mux(g, y, g), // select and data share the faulted node
+			b.Mux(y, g, g), // both data legs share it
+		)
+		c := b.Build()
+		checkSites(t, c, []uint64{0xff00ff00f0f0f0f0, 0xcccc3333aaaa5555}, allNodes(c))
+	})
+	t.Run("input and const sites", func(t *testing.T) {
+		b := NewBuilder("sources")
+		x, y := b.Input(), b.Input()
+		b.Output(b.Or(x, b.One()), b.And(y, b.Zero()), b.Nand(x, y), x, b.One())
+		c := b.Build()
+		var sources []int
+		for i := 0; i < c.NumNodes(); i++ {
+			switch c.Kind(i) {
+			case Const0, Const1, Input:
+				sources = append(sources, i)
+			}
+		}
+		checkSites(t, c, []uint64{0x1111222233334444, 0xfedcba9876543210}, sources)
+	})
+	t.Run("back to back", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(12))
+		c := deepCircuit(rng, 400)
+		words := make([]uint64, c.NumInputs())
+		for i := range words {
+			words[i] = rng.Uint64()
+		}
+		sites := allNodes(c)
+		rng.Shuffle(len(sites), func(i, j int) { sites[i], sites[j] = sites[j], sites[i] })
+		// Every node twice, shuffled, against one snapshot.
+		checkSites(t, c, words, append(sites, sites...))
+	})
+}
+
+// TestConcurrentEvaluators: evaluators on several goroutines share one
+// fresh circuit, so its fan-out and cone-size memos are first built under
+// contention; every goroutine must still match the full evaluator.
+func TestConcurrentEvaluators(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	c := deepCircuit(rng, 300)
+	words := []uint64{rng.Uint64(), rng.Uint64()}
+	full := NewEvaluator(c)
+	want := make([][]uint64, c.NumNodes())
+	for site := range want {
+		want[site] = append([]uint64(nil), full.Eval(words, site)...)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			inc := NewConeEvaluator(c)
+			inc.Baseline(words)
+			for site, w := range want {
+				got := inc.EvalSite(site)
+				for o := range w {
+					if got[o] != w[o] {
+						t.Errorf("goroutine %d site %d output %d: %x, want %x", g, site, o, got[o], w[o])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	checkConeSizes(t, c)
+}
+
+// FuzzConeSizes fuzzes the bit-parallel cone-size pass: for a random
+// circuit of fuzzer-chosen shape, every node's size and the ConeStats
+// aggregate must equal brute-force reachability.
+func FuzzConeSizes(f *testing.F) {
+	f.Add(int64(1), uint16(60))
+	f.Add(int64(2), uint16(200))
+	f.Add(int64(3), uint16(0))
+	f.Fuzz(func(t *testing.T, seed int64, nGates uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		for _, c := range []*Circuit{
+			randomCircuit(rng, 1+rng.Intn(6), int(nGates%400)),
+			deepCircuit(rng, int(nGates%400)),
+		} {
+			checkConeSizes(t, c)
+			checkConeStats(t, c)
 		}
 	})
 }

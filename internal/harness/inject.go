@@ -13,9 +13,9 @@ import (
 type UnitInjection struct {
 	Unit       *arith.Unit
 	Injections []faultsim.Injection
-	// Evals pools the evaluator work counters of the unit's shards: how
-	// many nodes the incremental cone evaluator re-evaluated versus what a
-	// naive whole-netlist evaluation would have cost.
+	// Evals pools the evaluator work counters of the unit's shards: the
+	// static fan-out cone nodes of the drawn sites versus what a naive
+	// whole-netlist evaluation would have cost.
 	Evals faultsim.EvalStats
 }
 
@@ -118,11 +118,12 @@ func (r *InjectionResult) RenderFig11() string {
 }
 
 // RenderConeStats prints the incremental-evaluator accounting: the
-// structural cone statistics of each unit and the re-evaluation fraction
-// the campaign's site draws actually paid. Everything here is a
-// deterministic function of (tuples, seed) — wall-clock throughput is
-// deliberately excluded so figure output stays byte-identical across
-// worker counts (see RenderThroughput for the timing line).
+// structural cone statistics of each unit and the static-cone fraction of
+// the campaign's actual site draws (gates.EvalCounters.ConeNodes).
+// Everything here is a deterministic function of (tuples, seed) —
+// wall-clock throughput is deliberately excluded so figure output stays
+// byte-identical across worker counts (see RenderThroughput for the timing
+// line).
 func (r *InjectionResult) RenderConeStats() string {
 	var b strings.Builder
 	b.WriteString("Incremental fault evaluation: fan-out cone statistics and measured re-eval cost\n")

@@ -15,9 +15,9 @@ import (
 // Cache is the content-addressed store for expensive intermediates and
 // final results: operand traces (a full workload-suite replay each),
 // finished job payloads, and — in process memory — the six synthesized
-// arithmetic units with their warmed cone tables. Keys are SHA-256 content
-// addresses derived from the inputs that determine the value (CacheKey), so
-// a hit is always semantically safe to reuse.
+// arithmetic units. Keys are SHA-256 content addresses derived from the
+// inputs that determine the value (CacheKey), so a hit is always
+// semantically safe to reuse.
 //
 // Layout: a memory map in front of an optional disk tier at
 // <dir>/<kk>/<key> (kk = first key byte in hex, to keep directories small).
@@ -166,10 +166,11 @@ func (c *Cache) path(key string) string {
 }
 
 // The six arithmetic units are synthesized gate netlists whose construction
-// (and cone-table precomputation) costs seconds — but they are immutable
-// and identical for every campaign, the textbook process-wide
-// content-addressed intermediate. Build them once per process, warm the
-// cone statistics, and count reuse through the same cache counters.
+// costs a noticeable fraction of a campaign — but they are immutable and
+// identical for every campaign, the textbook process-wide content-addressed
+// intermediate. Build them once per process and count reuse through the
+// same cache counters. Their cone sizes are memoized on the circuits by the
+// first evaluator that needs them.
 var (
 	unitsOnce sync.Once
 	unitsMemo []*arith.Unit
@@ -182,9 +183,6 @@ func (c *Cache) Units() []*arith.Unit {
 	unitsOnce.Do(func() {
 		built = true
 		unitsMemo = arith.Units()
-		for _, u := range unitsMemo {
-			u.ConeStats() // warm the cone tables outside any job's critical path
-		}
 	})
 	c.hit("units", !built)
 	return unitsMemo
